@@ -78,7 +78,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		direct, err := cdl.ListImports(args[0], src)
+		direct, err := cdl.ScanImports(args[0], src)
 		if err != nil {
 			fatal("%v", err)
 		}

@@ -14,7 +14,9 @@
 //
 // The three passes share one substrate: an Index builds (or reuses) one
 // summary per module, keyed by the Merkle hash of the module's import
-// closure. Editing one .cinc invalidates only its provenance cone — the
+// closure — the key cdl.Keyer computes for the engine's compile caches, so
+// compile and analysis share one keyer and one import-scan memo. Editing
+// one .cinc invalidates only its provenance cone — the
 // file plus its transitive importers — which the
 // dataflow.provenance.memo / dataflow.provenance.recompute counters make
 // observable and testable.
@@ -28,6 +30,7 @@ import (
 	"time"
 
 	"configerator/internal/cdl"
+	"configerator/internal/lru"
 	"configerator/internal/obs"
 	"configerator/internal/stats"
 )
@@ -105,9 +108,11 @@ const (
 	counterRadius    = "radius.query"
 )
 
-// DefaultMaxSummaries bounds the content-keyed summary memo. The cache is
-// cleared wholesale when it overflows — content hashes make stale entries
-// unreachable anyway, this only reclaims memory.
+// DefaultMaxSummaries bounds the content-keyed summary memo. On overflow
+// the least-recently-used quarter is evicted (the cdl engine's policy, via
+// internal/lru) — content hashes make stale entries unreachable anyway, and
+// the summaries the latest analyses touched survive, so an overflow never
+// forces the next Analyze to rebuild the whole repo.
 const DefaultMaxSummaries = 16384
 
 // Index owns the memoized per-module summaries. It is long-lived (one per
@@ -125,16 +130,27 @@ type Index struct {
 	counters *stats.Counters
 
 	mu   sync.Mutex
-	memo map[string]*summary
+	memo map[string]*memoEntry
+	tick int64
 }
 
-// NewIndex returns an index sharing the engine's parse cache. A nil engine
-// is allowed (the CLI's one-shot mode): parsing is then uncached.
+// memoEntry is one memoized summary with its last-use tick for eviction.
+type memoEntry struct {
+	s       *summary
+	lastUse int64
+}
+
+// NewIndex returns an index sharing the engine's parse cache, import-scan
+// memo and closure keyer. The engine is required: summaries are keyed by
+// the engine's Keyer, the repo's one closure-key implementation.
 func NewIndex(engine *cdl.Engine) *Index {
+	if engine == nil {
+		panic("dataflow: NewIndex requires a non-nil *cdl.Engine")
+	}
 	return &Index{
 		engine:   engine,
 		counters: stats.NewCounters(),
-		memo:     make(map[string]*summary),
+		memo:     make(map[string]*memoEntry),
 	}
 }
 
@@ -151,7 +167,13 @@ func (ix *Index) count(name string) {
 func (ix *Index) lookup(key string) *summary {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.memo[key]
+	me, ok := ix.memo[key]
+	if !ok {
+		return nil
+	}
+	ix.tick++
+	me.lastUse = ix.tick
+	return me.s
 }
 
 func (ix *Index) store(key string, s *summary) {
@@ -161,10 +183,9 @@ func (ix *Index) store(key string, s *summary) {
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if len(ix.memo) >= max {
-		ix.memo = make(map[string]*summary)
-	}
-	ix.memo[key] = s
+	ix.tick++
+	ix.memo[key] = &memoEntry{s: s, lastUse: ix.tick}
+	lru.EvictOldest(ix.memo, max, func(me *memoEntry) int64 { return me.lastUse })
 }
 
 // Repo is one whole-repo analysis: every loaded module's summary under a
@@ -188,8 +209,8 @@ func (ix *Index) Analyze(fs cdl.FileSystem, roots []string) *Repo {
 	b := &builder{
 		ix:      ix,
 		fs:      fs,
+		keys:    ix.engine.NewKeyer(fs),
 		sums:    make(map[string]*summary),
-		keys:    make(map[string]*keyInfo),
 		onStack: make(map[string]bool),
 	}
 	rep := &Repo{ix: ix, sums: b.sums}

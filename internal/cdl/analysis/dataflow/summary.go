@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"sort"
 	"strings"
 
@@ -73,67 +71,16 @@ type summary struct {
 	err string
 }
 
-// keyInfo caches one module's Merkle closure hash for a builder session.
-type keyInfo struct {
-	key       string
-	cacheable bool
-}
-
-// builder runs one Analyze call: it resolves closure keys, consults the
-// index memo, and composes summaries bottom-up with the same
-// publish-partial-before-recurse cycle tolerance as the analysis fact
-// builder.
+// builder runs one Analyze call: it resolves closure keys through the
+// engine's Keyer, consults the index memo, and composes summaries
+// bottom-up with the same publish-partial-before-recurse cycle tolerance
+// as the analysis fact builder.
 type builder struct {
 	ix      *Index
 	fs      cdl.FileSystem
+	keys    *cdl.Keyer
 	sums    map[string]*summary // per-session: path -> summary
-	keys    map[string]*keyInfo // per-session: path -> closure key
 	onStack map[string]bool
-}
-
-// key computes the Merkle hash of path's import closure: the file's own
-// bytes combined with each direct import's key, in import order. Closures
-// containing a cycle (or an unreadable/unscannable file) are uncacheable:
-// they are rebuilt per session and never stored in the memo.
-func (b *builder) key(path string) *keyInfo {
-	if ki, ok := b.keys[path]; ok {
-		return ki
-	}
-	if b.onStack[path] {
-		// Import cycle: every participant is uncacheable this session.
-		return &keyInfo{cacheable: false}
-	}
-	ki := &keyInfo{}
-	b.keys[path] = ki
-	src, err := b.fs.ReadFile(path)
-	if err != nil {
-		return ki
-	}
-	imports, err := cdl.ScanImports(path, src)
-	if err != nil {
-		return ki
-	}
-	h := sha256.New()
-	h.Write([]byte(path))
-	h.Write([]byte{0})
-	h.Write(src)
-	b.onStack[path] = true
-	ok := true
-	for _, imp := range imports {
-		dep := b.key(imp)
-		if !dep.cacheable {
-			ok = false
-			break
-		}
-		h.Write([]byte{0})
-		h.Write([]byte(dep.key))
-	}
-	delete(b.onStack, path)
-	if ok {
-		ki.key = hex.EncodeToString(h.Sum(nil))
-		ki.cacheable = true
-	}
-	return ki
 }
 
 // summarize returns path's summary, from the session cache, the
@@ -148,9 +95,12 @@ func (b *builder) summarize(path string) *summary {
 		return &summary{path: path, bindings: map[string]*binding{},
 			reach: map[string]bool{path: true}}
 	}
-	ki := b.key(path)
-	if ki.cacheable {
-		if s := b.ix.lookup(ki.key); s != nil {
+	// A closure the keyer cannot key (unreadable or unlexable file, import
+	// cycle) is uncacheable: rebuilt per session, never stored in the memo.
+	key, err := b.keys.Key(path)
+	cacheable := err == nil
+	if cacheable {
+		if s := b.ix.lookup(key); s != nil {
 			b.ix.count(counterMemo)
 			b.sums[path] = s
 			b.collectReach(s)
@@ -160,8 +110,8 @@ func (b *builder) summarize(path string) *summary {
 	b.onStack[path] = true
 	s := b.build(path)
 	delete(b.onStack, path)
-	if ki.cacheable && s.err == "" {
-		b.ix.store(ki.key, s)
+	if cacheable && s.err == "" {
+		b.ix.store(key, s)
 	}
 	b.ix.count(counterRecompute)
 	b.sums[path] = s
@@ -195,7 +145,7 @@ func (b *builder) build(path string) *summary {
 		s.err = err.Error()
 		return s
 	}
-	mod, err := b.parse(path, src)
+	mod, err := b.ix.engine.ParseCached(path, src)
 	if err != nil {
 		s.err = err.Error()
 		return s
@@ -348,13 +298,6 @@ func (b *builder) build(path string) *summary {
 		return a.Name < c.Name
 	})
 	return s
-}
-
-func (b *builder) parse(path string, src []byte) (*cdl.Module, error) {
-	if b.ix.engine != nil {
-		return b.ix.engine.ParseCached(path, src)
-	}
-	return cdl.Parse(path, string(src))
 }
 
 // exportFields maps an exported struct/map literal's fields to their

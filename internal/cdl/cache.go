@@ -1,10 +1,13 @@
 package cdl
 
 // Cache storage for the compilation engine: a content-addressed parse
-// cache, a module-evaluation cache keyed by the Merkle hash of a module's
-// transitive source closure, and a whole-compile result cache. All three
-// live behind the Engine mutex; entries are immutable once published, so
-// readers share them freely across goroutines.
+// cache, an import-scan memo, a module-evaluation cache keyed by the
+// Merkle hash of a module's transitive source closure, and a whole-compile
+// result cache. All four live behind the Engine mutex and are bounded by
+// the shared lru policy; entries are immutable once published, so readers
+// share them freely across goroutines.
+
+import "crypto/sha256"
 
 // parseEntry is one cached parse, keyed by (path, source hash). The path
 // is part of the key because AST positions embed the file name.
@@ -17,6 +20,17 @@ type parseEntry struct {
 	// into moduleEntry.schemaRefs for the activation visibility check.
 	structRefs []string
 	lastUse    int64
+}
+
+// scanEntry is the import-scan memo's one entry per path: the sha256 of
+// the bytes last scanned there and what ScanImports returned for them (the
+// import list, or the lexical error). A path whose bytes change replaces
+// its entry, so the memo never holds more than one entry per path.
+type scanEntry struct {
+	sum     [sha256.Size]byte
+	imports []string
+	err     error
+	lastUse int64
 }
 
 // registeredValidator is a validator statement bound to the environment of
@@ -79,60 +93,4 @@ type resultEntry struct {
 	res     *Result
 	closure []string
 	lastUse int64
-}
-
-// evictOldest removes roughly the least-recently-used quarter of a cache
-// map once it exceeds max, returning how many entries were dropped. The
-// scan is O(n) but runs only on overflow, which amortizes fine for cache
-// maintenance.
-func evictOldest[E any](m map[string]E, max int, lastUse func(E) int64, drop func(string)) int {
-	if max <= 0 || len(m) <= max {
-		return 0
-	}
-	// Find the cutoff tick below which entries are evicted: collect ticks
-	// and take the quartile via a partial selection.
-	ticks := make([]int64, 0, len(m))
-	for _, e := range m {
-		ticks = append(ticks, lastUse(e))
-	}
-	cutoff := quickselect(ticks, len(ticks)/4)
-	dropped := 0
-	for k, e := range m {
-		if lastUse(e) <= cutoff {
-			drop(k)
-			dropped++
-		}
-	}
-	return dropped
-}
-
-// quickselect returns the k-th smallest element (0-based) of xs, mutating
-// xs in place.
-func quickselect(xs []int64, k int) int64 {
-	lo, hi := 0, len(xs)-1
-	for lo < hi {
-		pivot := xs[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			break
-		}
-	}
-	return xs[k]
 }

@@ -399,18 +399,29 @@ func TestCanonicalJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestListImports(t *testing.T) {
+// TestScanImports: the lexer-only scanner returns the direct import paths
+// in statement order, ignores `import` text inside strings and comments,
+// and fails only on lexical errors.
+func TestScanImports(t *testing.T) {
 	src := []byte(`
 		import "feed/a.cinc";
+		# import "not/a/comment.cinc";
+		let s = "import \"not/a/string.cinc\"";
 		import "tao/b.cinc";
 		export {};
 	`)
-	deps, err := ListImports("x.cconf", src)
+	deps, err := ScanImports("x.cconf", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(deps) != 2 || deps[0] != "feed/a.cinc" || deps[1] != "tao/b.cinc" {
 		t.Errorf("deps = %v", deps)
+	}
+	if _, err := ScanImports("bad.cconf", []byte("import \"a.cinc\";\nlet s = \"unterminated\n")); err == nil {
+		t.Error("an unterminated string must be a lexical error")
+	}
+	if _, err := ScanImports("dangling.cconf", []byte("import")); err == nil {
+		t.Error("import without a path must fail")
 	}
 }
 

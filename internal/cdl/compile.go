@@ -85,7 +85,7 @@ func (c *Compiler) Compile(path string) (*Result, error) {
 type loadState struct {
 	eng    *Engine
 	fs     FileSystem
-	h      *hasher // nil disables all cache use for this compile
+	h      *Keyer // nil disables all cache use for this compile
 	eval   *evaluator
 	global *Env
 
@@ -111,7 +111,7 @@ type loadState struct {
 	building string
 }
 
-func newLoadState(eng *Engine, fs FileSystem, h *hasher) *loadState {
+func newLoadState(eng *Engine, fs FileSystem, h *Keyer) *loadState {
 	return &loadState{
 		eng:        eng,
 		fs:         fs,
@@ -309,7 +309,7 @@ func (st *loadState) maybeStore(path string, info *keyInfo, mod *Module, env *En
 		}
 	}
 	if !cacheable {
-		st.eng.storeUncacheable(info.key, path, info.closure)
+		st.eng.storeUncacheable(info.key, path, info.closure())
 		return
 	}
 	names := make(map[string]bool, len(mod.Schemas))
@@ -344,7 +344,7 @@ func (st *loadState) maybeStore(path string, info *keyInfo, mod *Module, env *En
 		schemas:     mod.Schemas,
 		effects:     effects,
 		imports:     imports,
-		closure:     info.closure,
+		closure:     info.closure(),
 		schemaNames: names,
 		schemaRefs:  refList,
 	}

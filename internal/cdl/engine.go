@@ -8,11 +8,14 @@ package cdl
 //
 //   - parse cache: (path, source-hash) → AST, so a .cinc imported by N
 //     configs parses once, not N times;
+//   - import-scan memo: path → (source-hash, import list), so keying a
+//     view lexes only the files whose bytes changed since the last view;
 //   - module cache: Merkle hash of a module's transitive source closure →
 //     its evaluated environment, registered schemas, and replayable module
-//     effects. Content-hash keys self-invalidate — editing any file in the
-//     closure changes the key — and InvalidatePaths evicts the dead
-//     entries precisely using the Dependency Service's affected set;
+//     effects. The key comes from the Keyer, which the dataflow summary
+//     memo shares. Content-hash keys self-invalidate — editing any file
+//     in the closure changes the key — and InvalidatePaths evicts the
+//     dead entries precisely using the Dependency Service's affected set;
 //   - result cache: root closure hash → finished *Result, making the CI
 //     double-compile determinism check nearly free;
 //   - single-flight module builds, so concurrent compiles that share a
@@ -26,11 +29,13 @@ package cdl
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 
+	"configerator/internal/lru"
 	"configerator/internal/stats"
 )
 
@@ -65,6 +70,7 @@ type Engine struct {
 	parse   map[string]*parseEntry
 	modules map[string]*moduleEntry
 	results map[string]*resultEntry
+	scans   map[string]*scanEntry
 	flights map[string]*flight
 	tick    int64
 }
@@ -87,6 +93,7 @@ func NewEngine() *Engine {
 		parse:            make(map[string]*parseEntry),
 		modules:          make(map[string]*moduleEntry),
 		results:          make(map[string]*resultEntry),
+		scans:            make(map[string]*scanEntry),
 		flights:          make(map[string]*flight),
 	}
 }
@@ -111,101 +118,168 @@ func (b *BatchError) Error() string { return b.Err.Error() }
 // Unwrap exposes the underlying compile error.
 func (b *BatchError) Unwrap() error { return b.Err }
 
-// ---- hashing ----
+// ---- closure keys ----
 
-// keyInfo is the hashed view of one source file under one FileSystem: its
-// content, scanned direct imports, transitive closure, and Merkle closure
-// key. err records why a key could not be computed (unreadable file,
-// lexical error, import cycle); such paths compile uncached.
+// keyInfo is the keyed view of one source file under one FileSystem: its
+// content, Merkle closure key, and the keyInfos of its direct imports in
+// import order. err records why a key could not be computed (unreadable
+// file, lexical error, import cycle, or any of these in an import); such
+// paths compile uncached and summarize unmemoized.
 type keyInfo struct {
-	src     []byte
-	key     string
-	imports []string
-	closure []string
-	err     error
+	path string
+	src  []byte
+	key  string
+	deps []*keyInfo
+	err  error
+
+	closureOnce sync.Once
+	closureList []string
 }
 
-// hasher computes closure keys for one FileSystem view, memoized per path.
-// It is safe for concurrent use; the mutex serializes the recursive walk,
-// which is cheap (reads + sha256, no parsing or evaluation).
-type hasher struct {
+// closure returns every path in the transitive source closure, including
+// the module itself, sorted. Only cache stores (for InvalidatePaths) and
+// CompileAll's wave planning need it, so it is derived from deps on first
+// use rather than while keying. Call it only when err is nil: a keyable
+// closure is acyclic.
+func (ki *keyInfo) closure() []string {
+	ki.closureOnce.Do(func() {
+		seen := make(map[string]bool)
+		var visit func(k *keyInfo)
+		visit = func(k *keyInfo) {
+			if seen[k.path] {
+				return
+			}
+			seen[k.path] = true
+			ki.closureList = append(ki.closureList, k.path)
+			for _, d := range k.deps {
+				visit(d)
+			}
+		}
+		visit(ki)
+		sort.Strings(ki.closureList)
+	})
+	return ki.closureList
+}
+
+// Keyer computes Merkle closure keys for one FileSystem view. A module's
+// key hashes its path, the sha256 of its bytes, and each direct import's
+// key in import order, so editing any file in a closure changes the key of
+// every module whose closure holds it — the key needs no invalidation
+// protocol. It is the repo's one closure-key implementation: the engine's
+// module and result caches and the dataflow summary memo all key on it.
+//
+// Keys are memoized per path for the keyer's lifetime, so a keyer must not
+// outlive the view it reads. Import lists come from the engine's
+// content-addressed scan memo, so a file whose bytes are unchanged since
+// any earlier keyer saw them is hashed but never lexed again. A Keyer is
+// safe for concurrent use; the mutex serializes the recursive walk, which
+// is cheap (reads + sha256, no parsing or evaluation).
+type Keyer struct {
 	eng  *Engine
 	fs   FileSystem
 	mu   sync.Mutex
 	memo map[string]*keyInfo
 }
 
-func newHasher(eng *Engine, fs FileSystem) *hasher {
-	return &hasher{eng: eng, fs: fs, memo: make(map[string]*keyInfo)}
+// NewKeyer returns a closure keyer over fs backed by the engine's import
+// memo.
+func (e *Engine) NewKeyer(fs FileSystem) *Keyer {
+	return &Keyer{eng: e, fs: fs, memo: make(map[string]*keyInfo)}
 }
 
-// info returns the keyInfo for path, computing (and memoizing) the whole
+// Key returns path's closure key. A non-nil error means the closure cannot
+// be keyed — a file in it is unreadable or fails to lex, or it contains an
+// import cycle — and the module must be treated as uncacheable.
+func (k *Keyer) Key(path string) (string, error) {
+	ki := k.info(path)
+	return ki.key, ki.err
+}
+
+// info returns the keyInfo for path, keying (and memoizing) its whole
 // transitive closure on first use.
-func (h *hasher) info(path string) *keyInfo {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.walk(path, make(map[string]bool))
+func (k *Keyer) info(path string) *keyInfo {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.walk(path, make(map[string]bool))
 }
 
-func (h *hasher) walk(path string, visiting map[string]bool) *keyInfo {
-	if ki, ok := h.memo[path]; ok {
+func (k *Keyer) walk(path string, visiting map[string]bool) *keyInfo {
+	if ki, ok := k.memo[path]; ok {
 		return ki
 	}
 	if visiting[path] {
 		// Genuine import cycle: every path on the cycle is permanently
 		// unkeyable, so memoizing the error is correct.
-		ki := &keyInfo{err: fmt.Errorf("cdl: import cycle through %q", path)}
-		h.memo[path] = ki
+		ki := &keyInfo{path: path, err: fmt.Errorf("cdl: import cycle through %q", path)}
+		k.memo[path] = ki
 		return ki
 	}
-	ki := &keyInfo{}
-	src, err := h.fs.ReadFile(path)
+	ki := &keyInfo{path: path}
+	src, err := k.fs.ReadFile(path)
 	if err != nil {
 		ki.err = err
-		h.memo[path] = ki
+		k.memo[path] = ki
 		return ki
 	}
 	ki.src = src
-	imports, err := ScanImports(path, src)
+	sum := sha256.Sum256(src)
+	imports, err := k.eng.scanImports(path, src, sum)
 	if err != nil {
 		ki.err = err
-		h.memo[path] = ki
+		k.memo[path] = ki
 		return ki
 	}
-	ki.imports = imports
 
 	visiting[path] = true
-	sum := sha256.Sum256(src)
 	hash := sha256.New()
 	hash.Write([]byte("cdl-module\x00"))
 	hash.Write([]byte(path))
 	hash.Write([]byte{0})
 	hash.Write(sum[:])
-	closure := map[string]bool{path: true}
-	for _, imp := range imports {
-		sub := h.walk(imp, visiting)
+	ki.deps = make([]*keyInfo, len(imports))
+	for i, imp := range imports {
+		sub := k.walk(imp, visiting)
 		if sub.err != nil && ki.err == nil {
 			ki.err = sub.err
 		}
+		ki.deps[i] = sub
 		hash.Write([]byte{0})
 		hash.Write([]byte(sub.key))
-		for _, p := range sub.closure {
-			closure[p] = true
-		}
-		closure[imp] = true
 	}
 	delete(visiting, path)
-
-	ki.closure = make([]string, 0, len(closure))
-	for p := range closure {
-		ki.closure = append(ki.closure, p)
-	}
-	sort.Strings(ki.closure)
 	if ki.err == nil {
-		ki.key = fmt.Sprintf("%x", hash.Sum(nil))
+		ki.key = hex.EncodeToString(hash.Sum(nil))
 	}
-	h.memo[path] = ki
+	k.memo[path] = ki
 	return ki
+}
+
+// ---- import-scan memo ----
+
+// scanImports is ScanImports memoized by content: the engine keeps, per
+// path, the sha256 of the bytes last scanned there and their import list
+// or lexical error, so a module whose bytes have not changed is never
+// lexed again and a lexical error comes back as the same error. sum is
+// sha256(src), which the caller already holds for the closure key. The
+// memo holds at most one entry per path and shares the parse cache's
+// bound.
+func (e *Engine) scanImports(path string, src []byte, sum [sha256.Size]byte) ([]string, error) {
+	e.mu.Lock()
+	if se, ok := e.scans[path]; ok && se.sum == sum {
+		se.lastUse = e.nextTick()
+		e.mu.Unlock()
+		return se.imports, se.err
+	}
+	e.counters.Add("scan.miss", 1)
+	e.mu.Unlock()
+
+	imports, err := ScanImports(path, src)
+	e.mu.Lock()
+	e.scans[path] = &scanEntry{sum: sum, imports: imports, err: err, lastUse: e.nextTick()}
+	e.counters.Add("evict.scan", int64(lru.EvictOldest(e.scans, e.MaxParseEntries,
+		func(se *scanEntry) int64 { return se.lastUse })))
+	e.mu.Unlock()
+	return imports, err
 }
 
 // ---- parse cache ----
@@ -237,8 +311,8 @@ func (e *Engine) parseModule(path string, src []byte) (*Module, error) {
 	e.mu.Lock()
 	pe.lastUse = e.nextTick()
 	e.parse[key] = pe
-	e.counters.Add("evict.parse", int64(evictOldest(e.parse, e.MaxParseEntries,
-		func(p *parseEntry) int64 { return p.lastUse }, func(k string) { delete(e.parse, k) })))
+	e.counters.Add("evict.parse", int64(lru.EvictOldest(e.parse, e.MaxParseEntries,
+		func(p *parseEntry) int64 { return p.lastUse })))
 	e.mu.Unlock()
 	return mod, err
 }
@@ -299,8 +373,8 @@ func (e *Engine) storeModule(ent *moduleEntry) {
 	defer e.mu.Unlock()
 	ent.lastUse = e.nextTick()
 	e.modules[ent.key] = ent
-	e.counters.Add("evict.module", int64(evictOldest(e.modules, e.MaxModuleEntries,
-		func(m *moduleEntry) int64 { return m.lastUse }, func(k string) { delete(e.modules, k) })))
+	e.counters.Add("evict.module", int64(lru.EvictOldest(e.modules, e.MaxModuleEntries,
+		func(m *moduleEntry) int64 { return m.lastUse })))
 }
 
 // storeUncacheable records a negative entry so future compiles skip the
@@ -314,15 +388,15 @@ func (e *Engine) storeUncacheable(key, path string, closure []string) {
 		return
 	}
 	e.modules[key] = &moduleEntry{key: key, path: path, uncacheable: true, closure: closure, lastUse: e.nextTick()}
-	e.counters.Add("evict.module", int64(evictOldest(e.modules, e.MaxModuleEntries,
-		func(m *moduleEntry) int64 { return m.lastUse }, func(k string) { delete(e.modules, k) })))
+	e.counters.Add("evict.module", int64(lru.EvictOldest(e.modules, e.MaxModuleEntries,
+		func(m *moduleEntry) int64 { return m.lastUse })))
 }
 
 // buildModule evaluates one cacheable module in an isolated load state and
 // publishes the entry, single-flighted per closure key so concurrent
 // compiles sharing a dependency evaluate it exactly once. Returns
 // (nil, nil) when the module turns out uncacheable.
-func (e *Engine) buildModule(h *hasher, path string, info *keyInfo) (*moduleEntry, error) {
+func (e *Engine) buildModule(h *Keyer, path string, info *keyInfo) (*moduleEntry, error) {
 	e.mu.Lock()
 	if ent, ok := e.modules[info.key]; ok { // raced with another builder
 		e.mu.Unlock()
@@ -353,7 +427,7 @@ func (e *Engine) buildModule(h *hasher, path string, info *keyInfo) (*moduleEntr
 		return nil, err
 	}
 	if safe, _ := e.parseMeta(path, info.src); !safe {
-		e.storeUncacheable(info.key, path, info.closure)
+		e.storeUncacheable(info.key, path, info.closure())
 		return nil, nil
 	}
 
@@ -392,8 +466,8 @@ func (e *Engine) storeResult(key string, res *Result, closure []string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.results[key] = &resultEntry{res: cloneResult(res), closure: closure, lastUse: e.nextTick()}
-	e.counters.Add("evict.result", int64(evictOldest(e.results, e.MaxResultEntries,
-		func(r *resultEntry) int64 { return r.lastUse }, func(k string) { delete(e.results, k) })))
+	e.counters.Add("evict.result", int64(lru.EvictOldest(e.results, e.MaxResultEntries,
+		func(r *resultEntry) int64 { return r.lastUse })))
 }
 
 // nextTick must be called with e.mu held.
@@ -455,14 +529,14 @@ func (e *Engine) InvalidatePaths(paths ...string) int {
 
 // Compile compiles a single module through the engine's caches.
 func (e *Engine) Compile(fs FileSystem, path string) (*Result, error) {
-	var h *hasher
+	var h *Keyer
 	if !e.CacheDisabled {
-		h = newHasher(e, fs)
+		h = e.NewKeyer(fs)
 	}
 	return e.compileOne(fs, h, path)
 }
 
-func (e *Engine) compileOne(fs FileSystem, h *hasher, path string) (*Result, error) {
+func (e *Engine) compileOne(fs FileSystem, h *Keyer, path string) (*Result, error) {
 	var info *keyInfo
 	if h != nil {
 		info = h.info(path)
@@ -495,7 +569,7 @@ func (e *Engine) compileOne(fs FileSystem, h *hasher, path string) (*Result, err
 		return nil, err
 	}
 	if info != nil && info.err == nil && st.cached[path] && st.global.version == 0 {
-		e.storeResult(info.key, res, info.closure)
+		e.storeResult(info.key, res, info.closure())
 	}
 	return res, nil
 }
@@ -519,10 +593,10 @@ func (e *Engine) CompileAll(fs FileSystem, paths []string) ([]*Result, error) {
 	}
 	sort.Strings(uniq)
 
-	var h *hasher
+	var h *Keyer
 	waves := [][]string{uniq}
 	if !e.CacheDisabled {
-		h = newHasher(e, fs)
+		h = e.NewKeyer(fs)
 		waves = planWaves(h, uniq)
 	}
 
@@ -577,7 +651,7 @@ func (e *Engine) CompileAll(fs FileSystem, paths []string) ([]*Result, error) {
 // transitive closure. Paths whose closures cannot be hashed (cycles,
 // unreadable imports) go in the first wave and surface their errors from a
 // fresh compile.
-func planWaves(h *hasher, paths []string) [][]string {
+func planWaves(h *Keyer, paths []string) [][]string {
 	requested := make(map[string]bool, len(paths))
 	for _, p := range paths {
 		requested[p] = true
@@ -596,7 +670,7 @@ func planWaves(h *hasher, paths []string) [][]string {
 		l := 0
 		info := h.info(p)
 		if info.err == nil {
-			for _, dep := range info.closure {
+			for _, dep := range info.closure() {
 				if dep != p && requested[dep] {
 					if dl := levelOf(dep, guard) + 1; dl > l {
 						l = dl

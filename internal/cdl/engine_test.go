@@ -2,8 +2,10 @@ package cdl
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -385,6 +387,88 @@ func TestExportLastWins(t *testing.T) {
 		_, err = eng.Compile(fs, "own.cconf")
 		if (err == nil) != (seedErr == nil) || (err != nil && err.Error() != seedErr.Error()) {
 			t.Errorf("round %d: own.cconf error = %v, seed = %v", round, err, seedErr)
+		}
+	}
+}
+
+// TestScanMemoLexError: the import-scan memo hands back a lexical error as
+// the same error a fresh ScanImports produces, lexes the file once, and
+// the module and its importers stay unkeyable — so they compile uncached
+// and no module or result entry is ever stored for them.
+func TestScanMemoLexError(t *testing.T) {
+	fs := MapFS{
+		"lib/bad.cinc":  "let X = \"unterminated;\n",
+		"svc/top.cconf": "import \"lib/bad.cinc\";\nexport {x: X};\n",
+	}
+	src, _ := fs.ReadFile("lib/bad.cinc")
+	_, fresh := ScanImports("lib/bad.cinc", src)
+	if fresh == nil {
+		t.Fatal("fixture must fail to lex")
+	}
+	eng := NewEngine()
+	sum := sha256.Sum256(src)
+	_, first := eng.scanImports("lib/bad.cinc", src, sum)
+	_, memo := eng.scanImports("lib/bad.cinc", src, sum)
+	if first == nil || first.Error() != fresh.Error() {
+		t.Fatalf("memo error = %v, want %v", first, fresh)
+	}
+	if memo != first {
+		t.Errorf("memo hit returned %v, want the cached error %v", memo, first)
+	}
+	if n := eng.Counters().Get("scan.miss"); n != 1 {
+		t.Errorf("scan.miss = %d, want 1", n)
+	}
+
+	keys := eng.NewKeyer(fs)
+	for _, p := range []string{"lib/bad.cinc", "svc/top.cconf"} {
+		if _, err := keys.Key(p); err == nil || err.Error() != fresh.Error() {
+			t.Errorf("Key(%s) err = %v, want the lexical error", p, err)
+		}
+	}
+	_, seedErr := (&Engine{CacheDisabled: true}).Compile(fs, "svc/top.cconf")
+	for i := 0; i < 2; i++ {
+		_, err := eng.Compile(fs, "svc/top.cconf")
+		if err == nil || seedErr == nil || err.Error() != seedErr.Error() {
+			t.Fatalf("compile %d: err = %v, want the seed's %v", i, err, seedErr)
+		}
+	}
+	if len(eng.modules) != 0 || len(eng.results) != 0 {
+		t.Errorf("unkeyable closure cached: %d modules, %d results", len(eng.modules), len(eng.results))
+	}
+	if n := eng.Counters().Get("scan.miss"); n != 2 {
+		t.Errorf("scan.miss = %d, want 2 (each file lexed once)", n)
+	}
+}
+
+// TestKeyerContentAddressed: keys depend only on content, so two views
+// holding the same bytes agree and share the scan memo; the lazily built
+// closure lists the module and everything it transitively imports.
+func TestKeyerContentAddressed(t *testing.T) {
+	fs, paths := engineFanoutFS(3)
+	eng := NewEngine()
+	k1, k2 := eng.NewKeyer(fs), eng.NewKeyer(maps.Clone(fs))
+	for _, p := range paths {
+		a, err := k1.Key(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := k2.Key(p); a != b {
+			t.Errorf("%s: views with equal bytes keyed differently", p)
+		}
+	}
+	if n := eng.Counters().Get("scan.miss"); n != 4 {
+		t.Errorf("scan.miss = %d, want 4 (each file once across both views)", n)
+	}
+	if got := k1.info(paths[0]).closure(); fmt.Sprint(got) != fmt.Sprint([]string{"lib/shared.cinc", paths[0]}) {
+		t.Errorf("closure = %v", got)
+	}
+
+	fs["lib/shared.cinc"] += "\nlet EXTRA = 1;\n"
+	k3 := eng.NewKeyer(fs)
+	for _, p := range paths {
+		a, _ := k1.Key(p)
+		if b, _ := k3.Key(p); a == b {
+			t.Errorf("%s: key unchanged after editing an import", p)
 		}
 	}
 }

@@ -15,7 +15,9 @@ package cdl
 // (extra recompiles) and cache keys (extra key material).
 
 // ScanImports returns the module's direct import paths using the lexer
-// only — no AST is built. It fails only on lexical errors.
+// only — no AST is built. It fails only on lexical errors. It is the
+// Dependency Service's extraction entry point (depgraph.ExtractAndSet);
+// the engine's Keyer reaches it through a content-addressed memo.
 func ScanImports(file string, src []byte) ([]string, error) {
 	l := newLexer(file, string(src))
 	out := []string{}
@@ -54,12 +56,4 @@ func ScanImports(file string, src []byte) ([]string, error) {
 			}
 		}
 	}
-}
-
-// ListImports returns the module's direct import paths — the cheap
-// dependency-extraction entry point used by the Dependency Service. It is
-// backed by the lexer-only scanner, so depgraph.ExtractAndSet does not pay
-// a full parse per changed file.
-func ListImports(file string, src []byte) ([]string, error) {
-	return ScanImports(file, src)
 }

@@ -23,7 +23,7 @@ const DefaultHighRadiusArtifacts = 25
 
 // configRoots enumerates every top-level artifact source visible through a
 // change's overlay view: the repositories plus overlay additions, minus
-// deletions.
+// deletions — sorted and deduplicated, with one sort over the union.
 func (p *Pipeline) configRoots(overlay map[string][]byte, deleted map[string]bool) []string {
 	seen := make(map[string]bool)
 	var roots []string
@@ -34,7 +34,7 @@ func (p *Pipeline) configRoots(overlay map[string][]byte, deleted map[string]boo
 		}
 	}
 	for _, repo := range p.Repos.Repos() {
-		for _, path := range repo.Paths() {
+		for path := range repo.HeadTree() {
 			add(path)
 		}
 	}

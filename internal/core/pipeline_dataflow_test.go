@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"configerator/internal/cdl/analysis/dataflow"
+	"configerator/internal/vcs"
 )
 
 // racyOverlays is the seeded non-deterministic fixture: two overlays
@@ -212,5 +213,35 @@ func TestHighRadiusGateExemptionScopedToShard(t *testing.T) {
 	wc.Write("lib/shared.cinc", []byte("let LIMIT = 12;\n"))
 	if res := strip.Submit(wc.Diff("backdoor"), p.Now()); !errors.Is(res.Err, ErrHighRadius) {
 		t.Fatalf("err = %v, want ErrHighRadius", res.Err)
+	}
+}
+
+// TestConfigRootsSortedAcrossRepos: the analysis roots are every .cconf at
+// head in every repository plus overlay additions, minus deletions —
+// sorted and deduplicated across repositories and the overlay.
+func TestConfigRootsSortedAcrossRepos(t *testing.T) {
+	repos := vcs.NewRepoSet("configerator")
+	repos.AddRepo("feed")
+	repos.AddRepo("tao")
+	p := New(Options{Repos: repos})
+	src := []byte("export {};\n")
+	if _, err := repos.CommitChanges("alice", "seed", p.Now(),
+		vcs.Change{Path: "tao/z.cconf", Content: src},
+		vcs.Change{Path: "feed/b.cconf", Content: src},
+		vcs.Change{Path: "feed/a.cconf", Content: src},
+		vcs.Change{Path: "feed/lib.cinc", Content: src},
+		vcs.Change{Path: "misc/m.cconf", Content: src},
+	); err != nil {
+		t.Fatal(err)
+	}
+	overlay := map[string][]byte{
+		"feed/a.cconf":  src, // already at head: listed once
+		"tao/new.cconf": src,
+		"tao/lib.cinc":  src,
+	}
+	got := p.configRoots(overlay, map[string]bool{"misc/m.cconf": true})
+	want := []string{"feed/a.cconf", "feed/b.cconf", "tao/new.cconf", "tao/z.cconf"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("configRoots = %v, want %v", got, want)
 	}
 }

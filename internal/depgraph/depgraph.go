@@ -54,7 +54,7 @@ func (g *Graph) SetImports(file string, imports []string) {
 
 // ExtractAndSet parses the source, extracts its imports, and records them.
 func (g *Graph) ExtractAndSet(file string, src []byte) error {
-	imports, err := cdl.ListImports(file, src)
+	imports, err := cdl.ScanImports(file, src)
 	if err != nil {
 		return fmt.Errorf("depgraph: extracting %s: %w", file, err)
 	}
