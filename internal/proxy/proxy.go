@@ -74,9 +74,13 @@ type Entry struct {
 	Data    []byte
 	Version int64
 	Zxid    int64
-	// Hash is the content hash of Data (vcs.HashBytes), computed once when
-	// the entry is materialized — off the read path — so convergence
-	// heartbeats can compare against Zeus watermarks without rehashing.
+	// Hash is the content hash of Data (vcs.HashBytes), computed once per
+	// version by zeus.Payload.Resolve as it verifies the bytes against the
+	// payload's NewHash. It is carried, never recomputed: the next delta's
+	// base check, fetch advertisements and convergence heartbeats all use
+	// it. Data is shared with the proxy's cache and must not be mutated; if
+	// it is, the next delta's result check catches the damage. A disk-cache
+	// entry is rehashed from its bytes before it serves as a base.
 	Hash uint64
 	// Fetched is when the proxy last confirmed this entry with an
 	// observer (virtual time).
@@ -866,6 +870,10 @@ func (p *Proxy) fetchFrom(ctx *simnet.Context, path string, target simnet.NodeID
 		if es, ok := p.snap.Load().entries[path]; ok && es.e.Exists {
 			st.base, st.haveBase = es.e, true
 		} else if e, ok := p.disk.Load(path); ok && e.Exists {
+			// Restart path: the disk bytes are what outlived the process,
+			// so their identity is recomputed rather than read from the
+			// stored field.
+			e.Hash = vcs.HashBytes(e.Data)
 			st.base, st.haveBase = e, true
 		}
 	}
@@ -879,7 +887,7 @@ func (p *Proxy) fetchFrom(ctx *simnet.Context, path string, target simnet.NodeID
 	m := zeus.MsgFetch{ReqID: p.nextReq, Path: path, Watch: true}
 	if st.haveBase {
 		m.Have = true
-		m.HaveHash = vcs.HashBytes(st.base.Data)
+		m.HaveHash = st.base.Hash
 	}
 	ctx.Send(target, m)
 	ctx.SetTimer(fetchTimeout, msgFetchTimeout{ReqID: p.nextReq})
@@ -1015,7 +1023,7 @@ func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 		p.apply(ctx, e, from)
 		return
 	}
-	data, err := m.Payload.Resolve(st.base.Data)
+	data, hash, err := m.Payload.Resolve(st.base.Data, st.base.Hash)
 	if err != nil {
 		// Hash miss (e.g. our disk-cache base predates what the observer
 		// delta'd against): fall back to a full snapshot.
@@ -1023,7 +1031,7 @@ func (p *Proxy) onFetchReply(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 		p.forceFetch(ctx, m.Path, false)
 		return
 	}
-	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data,
+	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data, Hash: hash,
 		Version: m.Version, Zxid: m.Zxid, Fetched: ctx.Now()}, from)
 }
 
@@ -1037,24 +1045,26 @@ func (p *Proxy) onWatchEvent(ctx *simnet.Context, from simnet.NodeID, m zeus.Msg
 		p.apply(ctx, Entry{Path: m.Path, Fetched: ctx.Now()}, from)
 		return
 	}
-	var base []byte
+	var base Entry
 	if es, ok := snap.entries[m.Path]; ok && es.e.Exists {
-		base = es.e.Data
+		base = es.e
 	}
-	data, err := m.Payload.Resolve(base)
+	data, hash, err := m.Payload.Resolve(base.Data, base.Hash)
 	if err != nil {
 		// The delta was made against a version we never saw (missed event,
-		// restart): recover via full-snapshot fetch.
+		// restart), or the bytes miss the advertised hash: recover via
+		// full-snapshot fetch.
 		p.Obs.Add("proxy.delta.fallback", 1)
 		p.forceFetch(ctx, m.Path, false)
 		return
 	}
-	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data,
+	p.apply(ctx, Entry{Path: m.Path, Exists: true, Data: data, Hash: hash,
 		Version: m.Version, Zxid: m.Zxid, Fetched: ctx.Now()}, from)
 }
 
 // apply integrates a new entry if it is not older than what we have. via
 // is the observer that delivered it (the upstream hop in the push tree).
+// e.Hash must already name e.Data: apply stores it without rehashing.
 func (p *Proxy) apply(ctx *simnet.Context, e Entry, via simnet.NodeID) {
 	snap := p.snap.Load()
 	old, had := snap.entries[e.Path]
@@ -1063,9 +1073,6 @@ func (p *Proxy) apply(ctx *simnet.Context, e Entry, via simnet.NodeID) {
 	}
 	changed := !had || old.e.Zxid != e.Zxid
 	e.Path = intern.Path(e.Path)
-	if e.Exists {
-		e.Hash = vcs.HashBytes(e.Data)
-	}
 	st := &entryState{e: e}
 	if changed {
 		st.e.memo = &Memo{}

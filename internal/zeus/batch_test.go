@@ -7,6 +7,7 @@ import (
 
 	"configerator/internal/obs"
 	"configerator/internal/simnet"
+	"configerator/internal/vcs"
 )
 
 // TestGroupCommitBatchesWaves checks the tentpole mechanism: a burst of
@@ -102,7 +103,7 @@ func TestObserverCoalescesRapidWrites(t *testing.T) {
 		data := []byte(fmt.Sprintf("v%d", i))
 		updates = append(updates, Update{
 			Path: "/hot", Version: int64(i), Zxid: int64(i),
-			Payload: MakePayload(prev, data, prev != nil),
+			Payload: MakePayload(prev, vcs.HashBytes(prev), data, vcs.HashBytes(data), prev != nil),
 		})
 		prev = data
 	}
@@ -125,7 +126,7 @@ func TestObserverCoalescesRapidWrites(t *testing.T) {
 	}
 	// The single event must materialize the final content for a watcher
 	// holding the pre-batch state (nil here: the path was empty at fetch).
-	if got, err := events[0].Payload.Resolve(nil); err != nil || string(got) != fmt.Sprintf("v%d", n) {
+	if got, _, err := events[0].Payload.Resolve(nil, 0); err != nil || string(got) != fmt.Sprintf("v%d", n) {
 		t.Errorf("event payload resolve = %q, %v", got, err)
 	}
 	if co := reg.Counters().Get("zeus.observer.coalesced"); co != n-1 {
@@ -263,5 +264,57 @@ func TestLeaderCrashMidBatch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestObserverVerifiesFullSnapshots: a full-snapshot payload is checked
+// against its NewHash like a delta's result. A forged one is never applied
+// and sends the observer down the resync path (re-registration). Catch-up
+// sync ops, which carry no hash, are hashed once on arrival, and every
+// record carries the hash of its bytes.
+func TestObserverVerifiesFullSnapshots(t *testing.T) {
+	net := simnet.New(simnet.DefaultLatency(), 34)
+	reg := obs.New()
+	o := NewObserver("obs-1", []simnet.NodeID{"zeus-0"})
+	o.Obs = reg
+	net.AddNode("obs-1", simnet.Placement{Region: "us", Cluster: "c1"}, o)
+	registers := 0
+	net.AddNode("zeus-0", simnet.Placement{Region: "us", Cluster: "zk"}, simnet.HandlerFunc(
+		func(_ *simnet.Context, _ simnet.NodeID, msg simnet.Message) {
+			if _, ok := msg.(msgObserverRegister); ok {
+				registers++
+			}
+		}))
+	send := func(msg simnet.Message) {
+		net.After(0, func() {
+			ctx := simnet.MakeContext(net, "zeus-0")
+			ctx.Send("obs-1", msg)
+		})
+		net.RunFor(time.Second)
+	}
+
+	send(msgObserverSync{Epoch: 1, Ops: []WriteOp{{Zxid: 1, Path: "/a", Data: []byte("v1"), Version: 1}}})
+	if rec := o.Tree().Get("/a"); rec == nil || string(rec.Data) != "v1" || rec.Hash != vcs.HashBytes([]byte("v1")) {
+		t.Fatalf("after sync, record = %+v", rec)
+	}
+
+	forged := Update{Path: "/a", Version: 2, Zxid: 2,
+		Payload: Payload{Full: []byte("forged"), NewHash: vcs.HashBytes([]byte("claimed"))}}
+	send(msgObserverBatch{Epoch: 1, Updates: []Update{forged}})
+	if rec := o.Tree().Get("/a"); rec == nil || string(rec.Data) != "v1" {
+		t.Fatalf("forged snapshot applied: record = %+v", rec)
+	}
+	if miss := reg.Counters().Get("zeus.observer.delta_miss"); miss != 1 {
+		t.Errorf("zeus.observer.delta_miss = %d, want 1", miss)
+	}
+	if registers != 1 {
+		t.Errorf("re-registrations = %d, want 1", registers)
+	}
+
+	good := Update{Path: "/a", Version: 2, Zxid: 2,
+		Payload: MakePayload(nil, 0, []byte("v2"), vcs.HashBytes([]byte("v2")), false)}
+	send(msgObserverBatch{Epoch: 1, Updates: []Update{good}})
+	if rec := o.Tree().Get("/a"); rec == nil || string(rec.Data) != "v2" || rec.Hash != vcs.HashBytes([]byte("v2")) {
+		t.Fatalf("after valid snapshot, record = %+v", rec)
 	}
 }

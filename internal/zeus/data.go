@@ -62,7 +62,15 @@ func NewDataTree() *DataTree {
 
 // Apply applies one op if it is newer than anything applied; stale or
 // duplicate ops (zxid <= applied) are ignored, making Apply idempotent.
-func (t *DataTree) Apply(op WriteOp) bool {
+// The record's content hash is computed from op.Data.
+func (t *DataTree) Apply(op WriteOp) bool { return t.apply(op, 0, false) }
+
+// ApplyHashed is Apply for a caller that already holds the verified content
+// hash of op.Data (an observer that just resolved a payload): the record
+// stores hash instead of rehashing the bytes.
+func (t *DataTree) ApplyHashed(op WriteOp, hash uint64) bool { return t.apply(op, hash, true) }
+
+func (t *DataTree) apply(op WriteOp, hash uint64, hashed bool) bool {
 	if op.Zxid <= t.applied {
 		return false
 	}
@@ -77,8 +85,11 @@ func (t *DataTree) Apply(op WriteOp) bool {
 	}
 	data := make([]byte, len(op.Data))
 	copy(data, op.Data)
+	if !hashed {
+		hash = vcs.HashBytes(data)
+	}
 	t.records[op.Path] = &Record{Path: op.Path, Data: data, Version: op.Version,
-		Zxid: op.Zxid, Hash: vcs.HashBytes(data), At: op.At}
+		Zxid: op.Zxid, Hash: hash, At: op.At}
 	return true
 }
 

@@ -114,15 +114,26 @@ const payloadHeaderBytes = 24
 const updateHeaderBytes = 16
 
 // Payload carries a record's content either as a full snapshot or as a
-// delta against a base version the receiver is believed to hold. The
-// receiver verifies both hashes; any mismatch is a hash miss and the
-// receiver falls back to a full-snapshot fetch or resync.
+// delta against a base version the receiver is believed to hold. NewHash
+// names the resulting content in both shapes; BaseHash names a delta's
+// base. Hashes are computed once per version per node and then carried:
+// the receiver checks BaseHash against the hash it recorded when it
+// materialized its base (it does not rehash the base bytes), and Resolve
+// hashes the materialized bytes exactly once, checks them against NewHash
+// — full snapshots included — and hands that hash back as the version's
+// identity. Any mismatch is a hash miss and the receiver falls back to a
+// full-snapshot fetch or resync.
 type Payload struct {
 	Full     []byte // the complete content (when IsDelta is false)
 	Delta    []byte // vcs.MakeDelta output (when IsDelta is true)
 	BaseHash uint64 // content hash of the base the delta applies to
 	NewHash  uint64 // content hash of the resulting content
 	IsDelta  bool
+
+	// unhashed marks a full payload an observer rebuilt locally from a
+	// catch-up sync op, which ships no content hash: Resolve computes the
+	// identity instead of checking it. Never set on a payload from the wire.
+	unhashed bool
 }
 
 // WireSize is the bytes this payload occupies on the wire.
@@ -134,36 +145,39 @@ func (p Payload) WireSize() int {
 }
 
 // Resolve materializes the payload's content given the receiver's current
-// bytes for the path. It returns ErrBadDelta (wrapped by vcs) on any hash
-// miss, which callers must treat as "request a full snapshot".
-func (p Payload) Resolve(old []byte) ([]byte, error) {
-	if !p.IsDelta {
-		return p.Full, nil
+// bytes for the path and the hash it recorded for them (nil, 0 when it
+// holds none). It returns the content and its verified hash, or
+// ErrBadDelta (wrapped by vcs) on any hash miss, which callers must treat
+// as "request a full snapshot".
+func (p Payload) Resolve(base []byte, baseHash uint64) ([]byte, uint64, error) {
+	out := p.Full
+	if p.IsDelta {
+		if baseHash != p.BaseHash {
+			return nil, 0, vcs.ErrBadDelta
+		}
+		var err error
+		if out, err = vcs.ApplyDelta(base, p.Delta); err != nil {
+			return nil, 0, err
+		}
 	}
-	if vcs.HashBytes(old) != p.BaseHash {
-		return nil, vcs.ErrBadDelta
+	h := vcs.HashBytes(out)
+	if h != p.NewHash && !p.unhashed {
+		return nil, 0, vcs.ErrBadDelta
 	}
-	out, err := vcs.ApplyDelta(old, p.Delta)
-	if err != nil {
-		return nil, err
-	}
-	if vcs.HashBytes(out) != p.NewHash {
-		return nil, vcs.ErrBadDelta
-	}
-	return out, nil
+	return out, h, nil
 }
 
 // MakePayload builds the cheapest payload that turns old into new: a delta
 // when one beats shipping the full content (and delta encoding is on), else
-// a full snapshot.
-func MakePayload(old, new []byte, delta bool) Payload {
+// a full snapshot. oldHash and newHash are the hashes the caller already
+// holds for the two contents (oldHash is unused when old is nil).
+func MakePayload(old []byte, oldHash uint64, new []byte, newHash uint64, delta bool) Payload {
 	if delta {
 		if d := vcs.MakeDelta(old, new); d != nil {
-			return Payload{Delta: d, BaseHash: vcs.HashBytes(old),
-				NewHash: vcs.HashBytes(new), IsDelta: true}
+			return Payload{Delta: d, BaseHash: oldHash, NewHash: newHash, IsDelta: true}
 		}
 	}
-	return Payload{Full: new, NewHash: vcs.HashBytes(new)}
+	return Payload{Full: new, NewHash: newHash}
 }
 
 // Update is one record change shipped down the distribution tree

@@ -7,7 +7,6 @@ import (
 	"configerator/internal/intern"
 	"configerator/internal/obs"
 	"configerator/internal/simnet"
-	"configerator/internal/vcs"
 )
 
 // batchScratch is the per-applyBatch working state (touched-path bases,
@@ -16,14 +15,22 @@ import (
 // reallocated per batch; only scratch lives here — everything a watch
 // event retains is copied out before the scratch is recycled.
 type batchScratch struct {
-	base  map[string][]byte
+	base  map[string]content
 	final map[string]Update
 	order []string
 }
 
+// content is one version's bytes with the hash recorded when they were
+// materialized, so later payloads can name the version without rehashing.
+// A zero content (nil data) means the path held no record.
+type content struct {
+	data []byte
+	hash uint64
+}
+
 var batchScratchPool = sync.Pool{New: func() any {
 	return &batchScratch{
-		base:  make(map[string][]byte),
+		base:  make(map[string]content),
 		final: make(map[string]Update),
 	}
 }}
@@ -111,10 +118,11 @@ type Observer struct {
 	watches map[string]*watchSet
 	// notifyScratch is the reusable live-watcher list handed to Broadcast.
 	notifyScratch []simnet.NodeID
-	// prev holds each path's content as of the version before the current
-	// one: the base a proxy that is exactly one version behind advertises,
-	// and therefore the base worth delta-encoding fetch replies against.
-	prev map[string][]byte
+	// prev holds each path's content (and its hash) as of the version
+	// before the current one: the base a proxy that is exactly one version
+	// behind advertises, and therefore the base worth delta-encoding fetch
+	// replies against.
+	prev map[string]content
 	// lastContact tracks when each watching proxy last pinged or fetched;
 	// silent proxies have their watch sessions pruned (watchSessionTTL).
 	lastContact map[simnet.NodeID]time.Time
@@ -137,7 +145,7 @@ func NewObserver(id simnet.NodeID, members []simnet.NodeID) *Observer {
 		members:       members,
 		tree:          NewDataTree(),
 		watches:       make(map[string]*watchSet),
-		prev:          make(map[string][]byte),
+		prev:          make(map[string]content),
 		lastContact:   make(map[simnet.NodeID]time.Time),
 		deltaEncoding: true,
 	}
@@ -185,14 +193,16 @@ func (o *Observer) HandleMessage(ctx *simnet.Context, from simnet.NodeID, msg si
 		ctx.SetTimer(observerRegisterGap, msgTickObserver{})
 	case msgObserverSync:
 		// Catch-up ops arrive as full snapshots; run them through the same
-		// coalescing apply path as live pushes. The decoded slice is pooled
-		// scratch — applyBatch copies out anything it keeps.
+		// coalescing apply path as live pushes. Sync ops carry no content
+		// hash, so Resolve computes each one's identity (unhashed). The
+		// decoded slice is pooled scratch — applyBatch copies out anything
+		// it keeps.
 		up := syncUpdatesPool.Get().(*[]Update)
 		updates := (*up)[:0]
 		for _, op := range m.Ops {
 			u := Update{Path: op.Path, Version: op.Version, Zxid: op.Zxid, Delete: op.Delete}
 			if !op.Delete {
-				u.Payload = Payload{Full: op.Data, NewHash: vcs.HashBytes(op.Data)}
+				u.Payload = Payload{Full: op.Data, unhashed: true}
 			}
 			updates = append(updates, u)
 		}
@@ -249,8 +259,10 @@ func (o *Observer) pruneWatchSessions(ctx *simnet.Context) {
 // watchers once per touched path — rapid successive writes to one path
 // coalesce into a single watch event carrying the final version. A delta
 // that fails to apply (hash miss: this observer's base diverged, e.g. it
-// restarted mid-stream) aborts the batch and falls back to a full-snapshot
-// resync via re-registration.
+// restarted mid-stream) or a payload whose bytes miss NewHash aborts the
+// batch and falls back to a full-snapshot resync via re-registration. Each
+// version is hashed once, by Resolve; the record, the prev base and the
+// outgoing watch payloads all carry that hash.
 func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 	// base holds each touched path's content before this batch — the
 	// version watchers last saw, hence the delta base for their event.
@@ -266,29 +278,31 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 			continue // duplicate or stale (e.g. overlapping sync)
 		}
 		u.Path = intern.Path(u.Path)
-		var oldData []byte
-		if old := o.tree.Get(u.Path); old != nil {
-			oldData = old.Data
+		var old content
+		if rec := o.tree.Get(u.Path); rec != nil {
+			old = content{data: rec.Data, hash: rec.Hash}
 		}
 		var newData []byte
+		var newHash uint64
 		if !u.Delete {
 			var err error
-			newData, err = u.Payload.Resolve(oldData)
+			newData, newHash, err = u.Payload.Resolve(old.data, old.hash)
 			if err != nil {
 				o.Obs.Add("zeus.observer.delta_miss", 1)
 				o.register(ctx)
 				break // resync re-ships this zxid onward as full snapshots
 			}
 		}
-		if !o.tree.Apply(WriteOp{Zxid: u.Zxid, Path: u.Path, Data: newData, Version: u.Version, Delete: u.Delete}) {
+		op := WriteOp{Zxid: u.Zxid, Path: u.Path, Data: newData, Version: u.Version, Delete: u.Delete}
+		if !o.tree.ApplyHashed(op, newHash) {
 			continue
 		}
-		o.prev[u.Path] = oldData
+		o.prev[u.Path] = old
 		o.Obs.PathEvent(u.Path, obs.PropEvent{
 			Stage: obs.EvObserverApply, Node: string(o.id), Zxid: u.Zxid, At: ctx.Now(),
 		})
 		if _, seen := final[u.Path]; !seen {
-			base[u.Path] = oldData
+			base[u.Path] = old
 			order = append(order, u.Path)
 		} else {
 			o.Obs.Add("zeus.observer.coalesced", 1)
@@ -303,8 +317,8 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 		u := final[path]
 		ev := MsgWatchEvent{Update: Update{Path: path, Version: u.Version, Zxid: u.Zxid, Delete: u.Delete}}
 		if !u.Delete {
-			rec := o.tree.Get(path)
-			ev.Payload = MakePayload(base[path], rec.Data, o.deltaEncoding && base[path] != nil)
+			rec, b := o.tree.Get(path), base[path]
+			ev.Payload = MakePayload(b.data, b.hash, rec.Data, rec.Hash, o.deltaEncoding && b.data != nil)
 		}
 		// One shared payload, serialization charged once for the wave,
 		// recipients in registration order (deterministic — see watchSet).
@@ -316,7 +330,9 @@ func (o *Observer) applyBatch(ctx *simnet.Context, updates []Update) {
 
 // onFetch answers a proxy's pull. The proxy advertises the hash of the
 // content it already holds, so the reply is the cheapest of: "not
-// modified", a delta against the previous version, or a full snapshot.
+// modified", a delta against the previous version, or a full snapshot. The
+// advertised hash is compared with the hashes recorded for the current and
+// previous versions; no bytes are rehashed.
 func (o *Observer) onFetch(ctx *simnet.Context, from simnet.NodeID, m MsgFetch) {
 	o.lastContact[from] = ctx.Now()
 	if m.Watch {
@@ -332,19 +348,20 @@ func (o *Observer) onFetch(ctx *simnet.Context, from simnet.NodeID, m MsgFetch) 
 		reply.Exists = true
 		reply.Version = rec.Version
 		reply.Zxid = rec.Zxid
+		prev := o.prev[m.Path]
 		switch {
-		case m.Have && m.HaveHash == vcs.HashBytes(rec.Data):
+		case m.Have && m.HaveHash == rec.Hash:
 			reply.NotModified = true
 			o.Obs.Add("zeus.fetch.not_modified", 1)
-		case m.Have && o.deltaEncoding && o.prev[m.Path] != nil && m.HaveHash == vcs.HashBytes(o.prev[m.Path]):
-			reply.Payload = MakePayload(o.prev[m.Path], rec.Data, true)
+		case m.Have && o.deltaEncoding && prev.data != nil && m.HaveHash == prev.hash:
+			reply.Payload = MakePayload(prev.data, prev.hash, rec.Data, rec.Hash, true)
 			if reply.Payload.IsDelta {
 				o.Obs.Add("zeus.fetch.delta", 1)
 			} else {
 				o.Obs.Add("zeus.fetch.full", 1)
 			}
 		default:
-			reply.Payload = MakePayload(nil, rec.Data, false)
+			reply.Payload = MakePayload(nil, 0, rec.Data, rec.Hash, false)
 			o.Obs.Add("zeus.fetch.full", 1)
 		}
 	}

@@ -551,15 +551,15 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 		}
 		// Commit. Capture the outgoing record first: it is the delta base
 		// for this op's push down the tree.
-		var oldData []byte
-		if old := s.tree.Get(p.op.Path); old != nil {
-			oldData = old.Data
+		var old Record
+		if rec := s.tree.Get(p.op.Path); rec != nil {
+			old = *rec
 		}
 		s.tree.Apply(p.op)
 		s.Obs.PathEvent(p.op.Path, obs.PropEvent{
 			Stage: obs.EvZeusCommit, Node: string(s.id), Zxid: zxid, At: ctx.Now(),
 		})
-		updates = append(updates, s.makeUpdate(oldData, p.op))
+		updates = append(updates, s.makeUpdate(old, p.op))
 		if p.client != "" {
 			ctx.Send(p.client, MsgWriteReply{ReqID: p.reqID, OK: true, Zxid: zxid, Version: p.op.Version})
 		}
@@ -600,14 +600,19 @@ func (s *Server) maybeCommit(ctx *simnet.Context) {
 }
 
 // makeUpdate builds the distribution-tree update for a committed op:
-// delta-encoded against the record it replaces when that beats a full
-// snapshot.
-func (s *Server) makeUpdate(oldData []byte, op WriteOp) Update {
+// delta-encoded against the record it replaces (old; zero if none) when
+// that beats a full snapshot. Both hashes come from the tree's records, so
+// the leader hashes each committed version once, in Apply.
+func (s *Server) makeUpdate(old Record, op WriteOp) Update {
 	u := Update{Path: op.Path, Version: op.Version, Zxid: op.Zxid, Delete: op.Delete}
 	if op.Delete {
 		return u
 	}
-	u.Payload = MakePayload(oldData, op.Data, s.deltaEncoding && oldData != nil)
+	var newHash uint64
+	if rec := s.tree.Get(op.Path); rec != nil { // op's record, just applied
+		newHash = rec.Hash
+	}
+	u.Payload = MakePayload(old.Data, old.Hash, op.Data, newHash, s.deltaEncoding && old.Data != nil)
 	if u.Payload.IsDelta {
 		s.Obs.Add("zeus.push.delta", 1)
 	} else {
